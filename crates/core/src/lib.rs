@@ -160,6 +160,9 @@ pub struct Climber<S: PartitionStore = MemStore> {
     /// from (opt-in via [`set_quant_enabled`](Self::set_quant_enabled));
     /// cleared whenever a fold rewrites sealed partitions.
     quant: QuantCache,
+    /// The indexed series length, read from a stored partition on first
+    /// use (see [`series_len_hint`](Self::series_len_hint)).
+    series_len: std::sync::OnceLock<usize>,
 }
 
 impl Climber<MemStore> {
@@ -657,6 +660,7 @@ impl<S: PartitionStore> Climber<S> {
             reseal_owed: std::sync::atomic::AtomicBool::new(false),
             ready_io: Mutex::new(IoSnapshot::default()),
             quant: QuantCache::new(),
+            series_len: std::sync::OnceLock::new(),
         }
     }
 
@@ -950,7 +954,7 @@ impl<S: PartitionStore> Climber<S> {
 
     /// Executes many [`SearchRequest`]s through the partition-major batch
     /// engine: compatible requests are grouped so every shared partition
-    /// is opened once and every shared cluster decoded once. Outcomes
+    /// is opened once and every shared cluster read once. Outcomes
     /// come back in request order, **bit-identical** to calling
     /// [`search`](Self::search) once per request — this is the entry
     /// point the serving layer's micro-batches ride.
@@ -1020,8 +1024,8 @@ impl<S: PartitionStore> Climber<S> {
 
     /// Executes a whole [`BatchRequest`] partition-major across threads:
     /// the union of all per-query plans is regrouped by partition, each
-    /// partition is opened once, each needed cluster decoded once, and the
-    /// decoded records are scored against every query that selected them.
+    /// partition is opened once, and each needed cluster is read once and
+    /// scored against every query that selected it.
     /// Per-query outcomes are bit-identical to the sequential methods —
     /// see [`climber_query::batch`] for the execution model.
     ///
@@ -1075,10 +1079,17 @@ impl<S: PartitionStore> Climber<S> {
         self.search(&SearchRequest::new(query, k).resampled(factor))
     }
 
-    /// The indexed series length, recovered from any stored partition.
+    /// The indexed series length. The first call reads it from a stored
+    /// partition (an open that counts in the store's I/O); every partition
+    /// of an index holds one series length, so the handle keeps it and
+    /// later calls open nothing. `None` while the store is empty.
     fn series_len_hint(&self) -> Option<usize> {
+        if let Some(&len) = self.series_len.get() {
+            return Some(len);
+        }
         let pid = *self.store.ids().first()?;
-        self.store.open(pid).ok().map(|r| r.series_len())
+        let len = self.store.open(pid).ok()?.series_len();
+        Some(*self.series_len.get_or_init(|| len))
     }
 
     /// Scans the store once to seed the append id counter (reopened
@@ -1770,6 +1781,22 @@ mod tests {
             after.partitions_written as usize,
             report.partitions_rewritten
         );
+    }
+
+    /// The indexed length appends check against is read from a partition
+    /// once per handle; later appends open nothing.
+    #[test]
+    fn appends_look_up_the_series_length_once() {
+        let ds = Domain::RandomWalk.generate(250, 15);
+        let climber = Climber::build_in_memory(&ds, small_cfg());
+        climber.append(ds.get(1)).unwrap();
+        let before = climber.store().stats().snapshot();
+        climber.append(ds.get(2)).unwrap();
+        climber
+            .append_batch(&[ds.get(3).to_vec(), ds.get(4).to_vec()])
+            .unwrap();
+        let diff = climber.store().stats().snapshot().since(&before);
+        assert_eq!(diff.partitions_opened, 0, "an append opened a partition");
     }
 
     #[test]

@@ -1003,7 +1003,6 @@ pub(crate) fn scatter_search_with_status<S: PartitionStore>(
             None => groups.push((key, vec![i])),
         }
     }
-    let len_hint = first_live.series_len_hint();
     let mut out: Vec<Option<QueryOutcome>> = Vec::with_capacity(reqs.len());
     out.resize_with(reqs.len(), || None);
     let pool = rayon::ThreadPoolBuilder::new()
@@ -1017,7 +1016,9 @@ pub(crate) fn scatter_search_with_status<S: PartitionStore>(
                 .map(|&i| {
                     let req = &reqs[i];
                     if matches!(req.mode, SearchMode::Resampled(_)) {
-                        let target = len_hint.unwrap_or(req.query.len());
+                        // Looked up only for resampled requests: the first
+                        // lookup on a handle opens a partition.
+                        let target = first_live.series_len_hint().unwrap_or(req.query.len());
                         resample_linear(&req.query, target)
                     } else {
                         req.query.clone()

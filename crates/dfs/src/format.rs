@@ -282,12 +282,12 @@ impl PartitionWriter {
 /// A reusable flat buffer of decoded records: ids side by side with a
 /// single `f32` arena, `series_len` values per record.
 ///
-/// The per-query refinement path decodes each record into a scratch slice
-/// as it visits it ([`PartitionReader::for_each_in_cluster`]); the batched
-/// partition-major path instead decodes a cluster **once** into a
-/// `ClusterBuf` and scores it against every query that selected it.
-/// Reusing the buffer across clusters and partitions means the steady
-/// state performs no per-call allocation at all.
+/// Query scans score sealed clusters straight from the partition image
+/// through a [`ClusterView`](crate::page::ClusterView); a `ClusterBuf`
+/// holds the candidate streams that must be decoded first — a sealed
+/// cluster merged with delta records, or the records a quantized
+/// prefilter promoted. Reusing the buffer across clusters and partitions
+/// means the steady state performs no per-call allocation at all.
 ///
 /// ```
 /// use climber_dfs::format::{ClusterBuf, PartitionReader, PartitionWriter};
@@ -645,7 +645,8 @@ impl PartitionReader {
 
 /// Random-access view over one sealed cluster's encoded records, returned
 /// by [`PartitionReader::cluster_records`]. Ids can be inspected without
-/// decoding values; values decode on demand, per record.
+/// decoding values; [`push_into`](Self::push_into) decodes one record on
+/// demand.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterRecords<'a> {
     bytes: &'a [u8],
@@ -680,21 +681,6 @@ impl ClusterRecords<'_> {
     pub fn id(&self, i: usize) -> u64 {
         let off = i * (8 + self.series_len * 4);
         u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
-    }
-
-    /// Decodes the values of record `i` into `out` (cleared first).
-    ///
-    /// # Panics
-    /// If `i >= len()`.
-    pub fn values_into(&self, i: usize, out: &mut Vec<f32>) {
-        let record_size = 8 + self.series_len * 4;
-        let off = i * record_size;
-        out.clear();
-        out.extend(
-            self.bytes[off + 8..off + record_size]
-                .chunks_exact(4)
-                .map(|chunk| f32::from_le_bytes(chunk.try_into().unwrap())),
-        );
     }
 
     /// Appends record `i` (id and values) to `buf`.
@@ -928,12 +914,12 @@ mod tests {
             let recs = r.cluster_records(node).unwrap();
             assert_eq!(recs.len(), buf.len());
             assert_eq!(recs.series_len(), buf.series_len());
-            let mut scratch = Vec::new();
             for i in 0..recs.len() {
                 let (id, values) = buf.get(i);
                 assert_eq!(recs.id(i), id);
-                recs.values_into(i, &mut scratch);
-                assert_eq!(scratch.as_slice(), values);
+                let mut one = ClusterBuf::new();
+                recs.push_into(i, &mut one);
+                assert_eq!(one.get(0), (id, values));
             }
         }
         assert!(r.cluster_records(999).is_none());
@@ -985,11 +971,6 @@ mod tests {
         recs.push_into(0, &mut buf);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.get(1), (1, &[1.0f32, 2.0, 3.0, 4.0][..]));
-
-        // values_into through a reused scratch vec always clears first.
-        let mut scratch = vec![0.0f32; 99];
-        recs.values_into(0, &mut scratch);
-        assert_eq!(scratch, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

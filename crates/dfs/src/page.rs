@@ -14,8 +14,9 @@
 //!   zero-copy.
 //! * **[`ClusterView`]** — an *owned* zero-copy view of one trie-node
 //!   cluster: a refcounted slice of the cached partition image that can
-//!   outlive the [`PartitionReader`] it came from, so scan loops borrow
-//!   cached pages instead of memcpy-ing records into a `ClusterBuf`.
+//!   outlive the [`PartitionReader`] it came from. Scan loops score each
+//!   record's little-endian value bytes in place instead of decoding
+//!   records into a `ClusterBuf`.
 //! * **Compressed partitions (CLBP v2)** — an optional on-disk encoding
 //!   applied on seal: per-cluster delta+varint ids and XOR-varint values,
 //!   bitwise-lossless, decompressed once on first touch and pinned in the
@@ -317,6 +318,17 @@ impl BlockCache {
         }
     }
 
+    /// True when the image of `(token, pid)` is resident. A pure probe:
+    /// it moves neither the LRU order nor the hit/miss counters, so a
+    /// scheduler can ask which partitions would hit before opening any.
+    pub fn contains(&self, token: u64, pid: PartitionId) -> bool {
+        let key = (token, pid);
+        self.shard_of(&key)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains_key(&key)
+    }
+
     fn account_insert(&self, entry: &CacheEntry) {
         self.ledger.charge(entry.charge);
         self.resident_bytes
@@ -504,7 +516,12 @@ impl BlockCache {
 ///
 /// Unlike `ClusterRecords<'_>`, which borrows its `PartitionReader`, a
 /// `ClusterView` can outlive the reader — scan loops hold the view (and
-/// thereby pin the cached pages) without copying a byte of record data.
+/// thereby pin the cached pages). [`record`](Self::record) hands out a
+/// record's id and its little-endian value bytes without copying them;
+/// `climber_series::kernels::ed_early_abandon_le` scores those bytes in
+/// place, so a sealed cluster scan never decodes into an `f32` buffer.
+/// [`values_into`](Self::values_into) is the decoding accessor, for
+/// callers that need the `f32` values themselves.
 #[derive(Debug, Clone)]
 pub struct ClusterView {
     bytes: Bytes,
@@ -546,8 +563,22 @@ impl ClusterView {
     /// If `i >= len()`.
     #[inline]
     pub fn id(&self, i: usize) -> u64 {
-        let off = i * (8 + self.series_len * 4);
-        u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
+        self.record(i).0
+    }
+
+    /// Record `i` as its series id and its `4 · series_len` little-endian
+    /// `f32` value bytes, borrowed from the partition image — no copy, no
+    /// decode.
+    ///
+    /// # Panics
+    /// If `i >= len()`.
+    #[inline]
+    pub fn record(&self, i: usize) -> (u64, &[u8]) {
+        let record_size = 8 + self.series_len * 4;
+        let rec = &self.bytes[i * record_size..(i + 1) * record_size];
+        let (id, values) = rec.split_at(8);
+        let id = id.try_into().expect("split_at(8) leaves 8 id bytes");
+        (u64::from_le_bytes(id), values)
     }
 
     /// Decodes the values of record `i` into `out` (cleared first).
@@ -555,36 +586,13 @@ impl ClusterView {
     /// # Panics
     /// If `i >= len()`.
     pub fn values_into(&self, i: usize, out: &mut Vec<f32>) {
-        let record_size = 8 + self.series_len * 4;
-        let off = i * record_size;
         out.clear();
         out.extend(
-            self.bytes[off + 8..off + record_size]
+            self.record(i)
+                .1
                 .chunks_exact(4)
-                .map(|chunk| f32::from_le_bytes(chunk.try_into().unwrap())),
+                .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("4-byte chunk"))),
         );
-    }
-
-    /// Visits every record with a reusable decode buffer, in storage
-    /// order. Returns the number of records visited.
-    pub fn for_each<F>(&self, mut f: F) -> u64
-    where
-        F: FnMut(u64, &[f32]),
-    {
-        let record_size = 8 + self.series_len * 4;
-        let mut buf = vec![0.0f32; self.series_len];
-        for r in 0..self.count {
-            let off = r * record_size;
-            let id = u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap());
-            for (i, chunk) in self.bytes[off + 8..off + record_size]
-                .chunks_exact(4)
-                .enumerate()
-            {
-                buf[i] = f32::from_le_bytes(chunk.try_into().unwrap());
-            }
-            f(id, &buf);
-        }
-        self.count as u64
     }
 }
 
@@ -1036,6 +1044,24 @@ mod tests {
     }
 
     #[test]
+    fn contains_probes_without_touching_lru_or_counters() {
+        let cache = BlockCache::new(CacheConfig::default().with_capacity_bytes(2 * PAGE_SIZE));
+        let token = next_store_token();
+        let img = |seed| sample_partition(seed, 1, 2, 4);
+        cache.insert(token, 1, img(1), img(1).len());
+        cache.insert(token, 2, img(2), img(2).len());
+        let before = cache.stats();
+        assert!(cache.contains(token, 1));
+        assert!(!cache.contains(token, 3));
+        assert!(!cache.contains(next_store_token(), 1));
+        assert_eq!(cache.stats(), before, "a probe counts nothing");
+        // Probing 1 did not refresh it: it is still the LRU victim.
+        cache.insert(token, 3, img(3), img(3).len());
+        assert!(!cache.contains(token, 1));
+        assert!(cache.contains(token, 2) && cache.contains(token, 3));
+    }
+
+    #[test]
     fn cache_tokens_namespace_partition_ids() {
         let cache = BlockCache::new(CacheConfig::default());
         let (a, b) = (next_store_token(), next_store_token());
@@ -1103,14 +1129,16 @@ mod tests {
             assert_eq!(view.series_len(), reader.series_len());
             let mut via_reader = Vec::new();
             reader.for_each_in_cluster(node, |id, vals| via_reader.push((id, vals.to_vec())));
-            let mut via_view = Vec::new();
-            view.for_each(|id, vals| via_view.push((id, vals.to_vec())));
-            assert_eq!(via_reader, via_view);
+            assert_eq!(via_reader.len(), view.len());
             let mut scratch = Vec::new();
             for (i, (id, vals)) in via_reader.iter().enumerate() {
                 assert_eq!(view.id(i), *id);
                 view.values_into(i, &mut scratch);
                 assert_eq!(&scratch, vals);
+                let (rec_id, rec) = view.record(i);
+                assert_eq!(rec_id, *id);
+                let le: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+                assert_eq!(rec, &le[..]);
             }
         }
         assert!(reader.cluster_view(999_999).is_none());

@@ -132,6 +132,14 @@ pub trait PartitionStore: Send + Sync {
         None
     }
 
+    /// True when opening `id` right now would be served from memory
+    /// without a filesystem read. A probe for schedulers: it opens
+    /// nothing and disturbs no cache order or counter. Stores without a
+    /// block cache report `false` for every partition.
+    fn is_resident(&self, _id: PartitionId) -> bool {
+        false
+    }
+
     /// An owned zero-copy view of one cluster — a single open plus a
     /// refcounted slice, no record memcpy. Counts the cluster's bytes and
     /// records as read, exactly like the decoding reads.
@@ -626,6 +634,14 @@ impl PartitionStore for DiskStore {
         DiskStore::block_cache(self)
     }
 
+    fn is_resident(&self, id: PartitionId) -> bool {
+        // Quarantined and staged partitions bypass the cache in `open`.
+        self.cache_handle()
+            .is_some_and(|sc| sc.cache.contains(sc.token, id))
+            && !self.staged.read().contains(&id)
+            && !self.quarantined.read().contains(&id)
+    }
+
     fn put(&self, id: PartitionId, bytes: Bytes) -> io::Result<()> {
         if self.is_read_only() {
             return Err(io::Error::new(
@@ -952,6 +968,33 @@ mod tests {
     }
 
     #[test]
+    fn is_resident_follows_the_cache_without_opening() {
+        use crate::page::{BlockCache, CacheConfig};
+        let dir = std::env::temp_dir().join(format!("climber-dfs-resident-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let store = DiskStore::new(&dir).unwrap();
+        store.put(3, encode_partition(7, 1, 4)).unwrap();
+        assert!(!store.is_resident(3), "no cache attached");
+        let cache = Arc::new(BlockCache::new(CacheConfig::default()));
+        store.attach_cache(Arc::clone(&cache));
+        assert!(!store.is_resident(3));
+        store.open(3).unwrap();
+        let (io, counters) = (store.stats().snapshot(), cache.stats());
+        assert!(store.is_resident(3));
+        assert!(!store.is_resident(4));
+        assert_eq!(store.stats().snapshot(), io, "a probe opens nothing");
+        assert_eq!(cache.stats(), counters, "a probe counts no hit");
+        store.put(3, encode_partition(7, 1, 9)).unwrap();
+        assert!(!store.is_resident(3), "a rewrite invalidates");
+        fs::remove_dir_all(&dir).ok();
+
+        let mem = MemStore::new();
+        mem.put(0, encode_partition(1, 1, 2)).unwrap();
+        mem.open(0).unwrap();
+        assert!(!mem.is_resident(0), "stores without a cache report nothing");
+    }
+
+    #[test]
     fn compressed_puts_roundtrip_and_report_stored_bytes() {
         let dir = std::env::temp_dir().join(format!("climber-dfs-comp-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
@@ -987,7 +1030,11 @@ mod tests {
         let mut decoded = Vec::new();
         store.read_cluster(0, 11, &mut decoded).unwrap();
         let mut viewed = Vec::new();
-        view.for_each(|id, vals| viewed.push((id, vals.to_vec())));
+        for i in 0..view.len() {
+            let mut vals = Vec::new();
+            view.values_into(i, &mut vals);
+            viewed.push((view.id(i), vals));
+        }
         assert_eq!(decoded, viewed);
         assert!(store.cluster_view(0, 999).unwrap().is_none());
     }

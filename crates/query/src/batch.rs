@@ -15,12 +15,15 @@
 //!    partition, which clusters are needed, and for each cluster, which
 //!    queries selected it;
 //! 3. partitions are fanned out across threads via the work-queue
-//!    [`rayon::scope`]. Each partition is opened **once**, each needed
-//!    cluster decoded **once** into a reused buffer, and the decoded
-//!    records are scored against every interested query — in small
-//!    cache-resident record blocks, behind a per-cluster Keogh PAA
-//!    prefilter whose signatures are likewise computed once and shared by
-//!    all the cluster's queries (the soundness argument lives on
+//!    [`rayon::scope`], block-cache-resident partitions first. Each
+//!    partition is opened **once**, and each needed cluster is scored
+//!    against every interested query straight from its record bytes in
+//!    the partition image (only clusters merged with updates or served
+//!    through the quantized cache are decoded, once, into a reused
+//!    buffer) — in small cache-resident record blocks, behind a
+//!    per-cluster Keogh PAA prefilter whose signatures are computed once
+//!    and shared by all the cluster's queries (the soundness argument
+//!    lives on
 //!    `scan_block_prefiltered` in [`crate::scatter`], where phases 1–3
 //!    now live so a sharded index can run the identical scan per shard).
 //!    Each query keeps its own `TopK` heap and
@@ -202,8 +205,8 @@ impl<'a> BatchRequest<'a> {
 /// `outcomes[i]` is bit-identical to running query `i` alone through the
 /// sequential engine; the aggregate counters show the sharing win:
 /// `records_scanned` is the *logical* work (what per-query execution would
-/// decode), `records_decoded` the *physical* work after each cluster is
-/// decoded once for all its queries.
+/// read), `records_decoded` the *physical* work after each cluster is
+/// read once for all its queries.
 ///
 /// ```
 /// use climber_dfs::store::MemStore;

@@ -94,9 +94,9 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
 
     /// Executes a whole [`BatchRequest`] partition-major across threads:
     /// each partition selected by *any* query of the batch is opened once,
-    /// each needed cluster decoded once, and the decoded records scored
-    /// against every query that selected them. Outcomes are bit-identical
-    /// to calling [`knn`](Self::knn) / [`knn_adaptive`](Self::knn_adaptive)
+    /// and each needed cluster read once and scored against every query
+    /// that selected it. Outcomes are bit-identical to calling
+    /// [`knn`](Self::knn) / [`knn_adaptive`](Self::knn_adaptive)
     /// / [`od_smallest`](Self::od_smallest) once per query — see
     /// [`crate::batch`] for the execution model and the throughput
     /// characteristics.
@@ -134,7 +134,7 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
     ///
     /// Requests with the same `(mode strategy, k, budget)` shape are
     /// grouped into one [`BatchRequest`] each, so every partition any of
-    /// them selects is opened once and every shared cluster decoded once.
+    /// them selects is opened once and every shared cluster read once.
     /// Outcomes come back in request order and are **bit-identical** to
     /// calling [`search`](Self::search) once per request — the batch
     /// engine's equivalence guarantee, with budgets applied identically on
@@ -162,7 +162,9 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
                 None => groups.push((key, vec![i])),
             }
         }
-        let len_hint = self.series_len_hint();
+        // The indexed length costs a partition open, so it is looked up
+        // only once a resampled request needs it.
+        let len_hint = std::cell::OnceCell::new();
         let mut outcomes: Vec<Option<QueryOutcome>> = reqs.iter().map(|_| None).collect();
         for ((strategy, k, budget), idxs) in groups {
             let queries: Vec<Vec<f32>> = idxs
@@ -170,7 +172,8 @@ impl<'a, S: PartitionStore> KnnEngine<'a, S> {
                 .map(|&i| {
                     let req = &reqs[i];
                     if matches!(req.mode, SearchMode::Resampled(_)) {
-                        resample_linear(&req.query, len_hint.unwrap_or(req.query.len()))
+                        let target = len_hint.get_or_init(|| self.series_len_hint());
+                        resample_linear(&req.query, target.unwrap_or(req.query.len()))
                     } else {
                         req.query.clone()
                     }
@@ -439,6 +442,32 @@ mod tests {
         for (req, out) in reqs.iter().zip(&many) {
             assert_eq!(out, &engine.search(req), "req {req:?}");
         }
+    }
+
+    #[test]
+    fn search_many_opens_only_what_its_batches_open() {
+        let (skeleton, store, ds) = build(Domain::RandomWalk, 400);
+        let engine = KnnEngine::new(&skeleton, &store);
+        let queries: Vec<Vec<f32>> = (0..8u64).map(|i| ds.get(i * 43).to_vec()).collect();
+        let reqs: Vec<SearchRequest> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| match i % 2 {
+                0 => SearchRequest::new(q.clone(), 10).adaptive(4),
+                _ => SearchRequest::new(q.clone(), 10).exact(),
+            })
+            .collect();
+        let before = store.stats().snapshot();
+        engine.search_many(&reqs);
+        let opened = store.stats().snapshot().since(&before).partitions_opened;
+        // The same requests as the batches `search_many` groups them into.
+        let even: Vec<Vec<f32>> = queries.iter().step_by(2).cloned().collect();
+        let odd: Vec<Vec<f32>> = queries.iter().skip(1).step_by(2).cloned().collect();
+        let batches = engine
+            .batch(&BatchRequest::adaptive(&even, 10, 4))
+            .partitions_opened
+            + engine.batch(&BatchRequest::knn(&odd, 10)).partitions_opened;
+        assert_eq!(opened, batches as u64, "no open beyond the batches' own");
     }
 
     #[test]

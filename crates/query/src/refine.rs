@@ -12,16 +12,18 @@
 //!
 //! Two scanning paths live here:
 //!
-//! * the **per-query** path ([`refine`]) — one query walks its plan,
-//!   decoding records on the fly;
-//! * the **partition-major** primitives (`scan_decoded_range`,
+//! * the **per-query** path ([`refine`]) — one query walks its plan;
+//! * the **partition-major** primitives (`scan_range`,
 //!   `expand_partition`) — shared with [`crate::batch`], which opens each
-//!   partition once, decodes each cluster once into a
-//!   [`climber_dfs::format::ClusterBuf`], and scores it against every query
+//!   partition once and scores each selected cluster against every query
 //!   of a batch that selected it.
 //!
-//! Both paths feed the same [`TopK`] with distances from the same kernel,
-//! so their results are bit-identical.
+//! Both read a sealed cluster through a [`ClusterView`] and score each
+//! record straight from its little-endian bytes in the (possibly
+//! block-cached) partition image with [`ed_early_abandon_le`] — no decode
+//! pass, no copy. That kernel is bit-identical to [`ed_early_abandon`] on the
+//! decoded values, and both paths feed the same [`TopK`], so their
+//! results are bit-identical.
 //!
 //! ## Updates
 //!
@@ -38,11 +40,80 @@
 use crate::plan::{QueryOutcome, QueryPlan};
 use crate::updates::UpdateView;
 use climber_dfs::format::{ClusterBuf, PartitionReader, TrieNodeId};
+use climber_dfs::page::ClusterView;
 use climber_dfs::quant::{QuantCache, QuantizedCluster};
 use climber_dfs::stats::IoStats;
 use climber_dfs::store::{PartitionId, PartitionStore};
-use climber_series::distance::ed_early_abandon;
+use climber_repr::paa::paa_into;
+use climber_series::kernels::{ed_early_abandon, ed_early_abandon_le};
 use climber_series::topk::{SharedBound, TopK};
+
+/// One cluster's candidate records, in storage order, as a scan reads
+/// them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Candidates<'a> {
+    /// A sealed cluster, scored straight from its little-endian record
+    /// bytes in the (possibly block-cached) partition image.
+    Sealed(&'a ClusterView),
+    /// A decoded stream: a delta-merged cluster, or the records the
+    /// quantized prefilter promoted.
+    Decoded(&'a ClusterBuf),
+}
+
+impl Candidates<'_> {
+    /// Number of candidate records.
+    #[inline]
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Candidates::Sealed(view) => view.len(),
+            Candidates::Decoded(buf) => buf.len(),
+        }
+    }
+
+    /// Scores record `i` against `query`: its id and squared distance, or
+    /// `None` once the distance is known to exceed `bound`.
+    #[inline]
+    pub(crate) fn score(self, i: usize, query: &[f32], bound: f64) -> Option<(u64, f64)> {
+        match self {
+            Candidates::Sealed(view) => {
+                let (id, values) = view.record(i);
+                ed_early_abandon_le(query, values, bound).map(|d| (id, d))
+            }
+            Candidates::Decoded(buf) => {
+                let (id, values) = buf.get(i);
+                ed_early_abandon(query, values, bound).map(|d| (id, d))
+            }
+        }
+    }
+
+    /// Appends the `segments`-segment PAA of record `i` to `out`; a sealed
+    /// record is decoded into `scratch` first.
+    pub(crate) fn paa_into(
+        self,
+        i: usize,
+        segments: usize,
+        out: &mut Vec<f64>,
+        scratch: &mut Vec<f32>,
+    ) {
+        match self {
+            Candidates::Sealed(view) => {
+                view.values_into(i, scratch);
+                paa_into(scratch, segments, out);
+            }
+            Candidates::Decoded(buf) => paa_into(buf.get(i).1, segments, out),
+        }
+    }
+}
+
+/// Offers every candidate to `top` in storage order, abandoning against
+/// the heap's own bound — the per-query scan of one cluster.
+fn offer_all(cands: Candidates<'_>, query: &[f32], top: &mut TopK) {
+    for i in 0..cands.len() {
+        if let Some((id, d)) = cands.score(i, query, top.bound()) {
+            top.offer(id, d);
+        }
+    }
+}
 
 /// Executes `plan` against `store`, returning the top-`k` records by
 /// squared ED.
@@ -156,21 +227,16 @@ pub(crate) fn scan_cluster(
         if let Some(cache) = quant.filter(|c| c.is_enabled()) {
             return scan_cluster_quantized(reader, pid, node, query, top, buf, stats, cache);
         }
-        // Zero-copy sealed scan: the view borrows the reader's (possibly
-        // block-cached) partition image — a refcount bump and a slice, no
-        // record memcpy — and visits records in storage order, exactly
-        // like the decoding visit it replaces.
+        // Sealed scan straight off the (possibly block-cached) partition
+        // image: a refcount bump and a slice, no record memcpy, records
+        // visited in storage order.
         let Some(view) = reader.cluster_view(node) else {
             return 0;
         };
-        let n = view.for_each(|id, vals| {
-            if let Some(d) = ed_early_abandon(query, vals, top.bound()) {
-                top.offer(id, d);
-            }
-        });
+        offer_all(Candidates::Sealed(&view), query, top);
         stats.on_read(bytes as u64);
-        stats.on_records_read(n);
-        return n;
+        stats.on_records_read(view.len() as u64);
+        return view.len() as u64;
     };
     buf.clear();
     let physical = {
@@ -182,12 +248,7 @@ pub(crate) fn scan_cluster(
     };
     stats.on_read(bytes as u64);
     stats.on_records_read(physical);
-    for i in 0..buf.len() {
-        let (id, vals) = buf.get(i);
-        if let Some(d) = ed_early_abandon(query, vals, top.bound()) {
-            top.offer(id, d);
-        }
-    }
+    offer_all(Candidates::Decoded(buf), query, top);
     buf.len() as u64
 }
 
@@ -195,8 +256,8 @@ pub(crate) fn scan_cluster(
 ///
 /// Hit: scan the cached 8-bit codes; a record whose quantized lower bound
 /// exceeds the heap's current bound is skipped without touching its `f32`
-/// bytes, and only the survivors are decoded (via
-/// [`PartitionReader::cluster_records`] random access) and scored exactly.
+/// bytes, and only the survivors are scored exactly, straight from their
+/// record bytes.
 /// Miss: decode the whole cluster as usual, score it, and quantize it into
 /// the cache for the next visit.
 ///
@@ -216,20 +277,18 @@ fn scan_cluster_quantized(
     cache: &QuantCache,
 ) -> u64 {
     if let Some(qc) = cache.get(pid, node) {
-        let Some(recs) = reader.cluster_records(node) else {
+        let Some(view) = reader.cluster_view(node) else {
             return 0;
         };
         let record_size = (8 + qc.series_len() * 4) as u64;
-        let mut scratch: Vec<f32> = Vec::with_capacity(qc.series_len());
         let mut promoted = 0u64;
         for i in 0..qc.len() {
             if query.len() == qc.series_len() && qc.lb_exceeds(i, query, top.bound()) {
                 continue;
             }
-            recs.values_into(i, &mut scratch);
             promoted += 1;
-            if let Some(d) = ed_early_abandon(query, &scratch, top.bound()) {
-                top.offer(qc.id(i), d);
+            if let Some((id, d)) = Candidates::Sealed(&view).score(i, query, top.bound()) {
+                top.offer(id, d);
             }
         }
         stats.on_read(promoted * record_size);
@@ -241,12 +300,7 @@ fn scan_cluster_quantized(
     let n = reader.read_cluster_into(node, buf);
     stats.on_read(bytes as u64);
     stats.on_records_read(n);
-    for i in 0..buf.len() {
-        let (id, vals) = buf.get(i);
-        if let Some(d) = ed_early_abandon(query, vals, top.bound()) {
-            top.offer(id, d);
-        }
-    }
+    offer_all(Candidates::Decoded(buf), query, top);
     if let Some(qc) = QuantizedCluster::from_buf(buf) {
         cache.insert(pid, node, qc);
     }
@@ -296,7 +350,7 @@ pub(crate) fn expand_partition(
     scanned
 }
 
-/// Scores a range of decoded cluster records against one query: the
+/// Scores a range of a cluster's candidates against one query: the
 /// partition-major inner loop. Abandons with the tighter of the
 /// collector's own bound and the [`SharedBound`] published by workers
 /// refining the same query on other partitions, then publishes back.
@@ -306,16 +360,15 @@ pub(crate) fn expand_partition(
 /// query, iterating blocks in order visits records in exactly the same
 /// order as one full pass, so the offers — and therefore the results —
 /// are identical.
-pub(crate) fn scan_decoded_range(
+pub(crate) fn scan_range(
     query: &[f32],
-    buf: &ClusterBuf,
+    cands: Candidates<'_>,
     range: std::ops::Range<usize>,
     top: &mut TopK,
     shared: &SharedBound,
 ) {
     for i in range {
-        let (id, vals) = buf.get(i);
-        if let Some(d) = ed_early_abandon(query, vals, top.bound_with(shared)) {
+        if let Some((id, d)) = cands.score(i, query, top.bound_with(shared)) {
             top.offer(id, d);
         }
     }
@@ -546,7 +599,21 @@ mod tests {
         let q = [0.3f32, 0.1];
         let shared = SharedBound::new();
         let mut via_buf = TopK::new(3);
-        scan_decoded_range(&q, &buf, 0..buf.len(), &mut via_buf, &shared);
+        scan_range(
+            &q,
+            Candidates::Decoded(&buf),
+            0..buf.len(),
+            &mut via_buf,
+            &shared,
+        );
+
+        let mut via_view = TopK::new(3);
+        let views_shared = SharedBound::new();
+        for node in [1u64, 2] {
+            let view = reader.cluster_view(node).unwrap();
+            let cands = Candidates::Sealed(&view);
+            scan_range(&q, cands, 0..cands.len(), &mut via_view, &views_shared);
+        }
 
         let mut via_visit = TopK::new(3);
         for node in [1u64, 2] {
@@ -556,7 +623,9 @@ mod tests {
                 }
             });
         }
-        assert_eq!(via_buf.into_sorted(), via_visit.into_sorted());
+        let want = via_visit.into_sorted();
+        assert_eq!(via_buf.into_sorted(), want);
+        assert_eq!(via_view.into_sorted(), want);
         // A full heap published its bound.
         assert!(shared.get() < f64::INFINITY);
     }

@@ -10,7 +10,7 @@
 //!   (plans depend only on the skeleton and the query, so one planning
 //!   pass serves every shard);
 //! * [`scan_shard`] — the partition-major planned scan of one store:
-//!   open each selected partition once, decode each selected cluster
+//!   open each selected partition once, read each selected cluster
 //!   once, score it against every interested query. Returns one
 //!   [`TopK`] per query plus the scan accounting ([`ShardScan`]);
 //! * [`expand_shard_partition`] — the within-partition expansion fallback
@@ -29,6 +29,16 @@
 //! candidates, so any record abandoned against it is provably outside the
 //! global top-k; and `records_scanned` counts the merged candidate
 //! stream, not the offers, so the accounting is bound-independent.
+//!
+//! ## Resident-first scheduling
+//!
+//! [`scan_shard`] queues the partitions its store reports
+//! [resident](climber_dfs::store::PartitionStore::is_resident) in the
+//! block cache ahead of the ones that must be read. A batch therefore hits
+//! what the previous batch left behind before its own misses start
+//! evicting, instead of evicting those partitions on the way to them.
+//! Visit order changes neither results nor counters: a [`TopK`]'s content
+//! does not depend on the order of its offers.
 
 use crate::adaptive::plan_adaptive;
 use crate::batch::BatchStrategy;
@@ -36,14 +46,13 @@ use crate::engine::query_seed;
 use crate::knn::plan_knn;
 use crate::od_smallest::plan_od_smallest;
 use crate::plan::QueryPlan;
-use crate::refine::{expand_partition, scan_decoded_range};
+use crate::refine::{expand_partition, scan_range, Candidates};
 use crate::updates::UpdateView;
 use climber_dfs::format::{ClusterBuf, TrieNodeId};
 use climber_dfs::quant::{QuantCache, QuantizedCluster};
 use climber_dfs::store::{PartitionId, PartitionStore};
 use climber_index::skeleton::IndexSkeleton;
-use climber_repr::paa::{paa, paa_into};
-use climber_series::distance::ed_early_abandon;
+use climber_repr::paa::paa;
 use climber_series::topk::{SharedBound, TopK};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -54,8 +63,8 @@ use std::sync::Mutex;
 type PartitionWork = BTreeMap<TrieNodeId, Vec<usize>>;
 
 /// Records scored per cache block in the partition-major scan: at 256
-/// points a record decodes to 1 KiB, so a block stays L1-resident while
-/// every interested query of the batch scans it.
+/// points a record is 1 KiB, so a block stays L1-resident while every
+/// interested query of the batch scans it.
 pub(crate) const SCAN_BLOCK_RECORDS: usize = 16;
 
 /// Segments of the shared PAA prefilter (see [`scan_block_prefiltered`]).
@@ -132,7 +141,7 @@ pub struct ShardScan {
 fn scan_block_prefiltered(
     query: &[f32],
     query_paa: &[f64],
-    buf: &ClusterBuf,
+    cands: Candidates<'_>,
     paas: &[f64],
     segments: usize,
     scale: f64,
@@ -153,8 +162,7 @@ fn scan_block_prefiltered(
                 continue;
             }
         }
-        let (id, vals) = buf.get(i);
-        if let Some(d) = ed_early_abandon(query, vals, bound) {
+        if let Some((id, d)) = cands.score(i, query, bound) {
             top.offer(id, d);
         }
     }
@@ -165,9 +173,12 @@ fn scan_block_prefiltered(
 /// batch engine's fan-out phase, factored out so a single-store batch and
 /// an N-shard scatter run the identical loop. Partitions selected by any
 /// plan are fanned out across threads via the [`rayon::scope`] work
-/// queue; each is opened once, each needed cluster decoded once (merging
-/// `updates` when present), and the decoded records scored against every
-/// interested query behind the shared PAA prefilter.
+/// queue, the store's cache-resident partitions first (see the module
+/// docs); each is opened once, and each needed cluster is scored against
+/// every interested query behind the shared PAA prefilter. Sealed
+/// clusters are scored straight from their record bytes in the partition
+/// image; only clusters merged with `updates` or served through `quant`
+/// are decoded, once, into a reused buffer.
 ///
 /// `bounds` must hold one [`SharedBound`] per query; passing the same
 /// array for every shard of a fan-out enables cross-shard pruning (see
@@ -226,9 +237,13 @@ pub fn scan_shard<S: PartitionStore>(
     let decoded = AtomicU64::new(0);
 
     // Fan partitions out across threads; skewed partition sizes balance
-    // over the scope's shared work queue.
+    // over the scope's shared work queue. The queue is FIFO, so the
+    // cache-resident partitions go first and hit before this batch's own
+    // misses start evicting.
+    let (resident, cold): (Vec<_>, Vec<_>) =
+        work.iter().partition(|(pid, _)| store.is_resident(**pid));
     rayon::scope(|s| {
-        for (&pid, per_cluster) in &work {
+        for (&pid, per_cluster) in resident.into_iter().chain(cold) {
             let (heaps, bounds, scanned) = (&heaps, &bounds, &scanned);
             let (failed, opened, decoded) = (&failed, &opened, &decoded);
             let qpaas = &qpaas;
@@ -243,55 +258,33 @@ pub fn scan_shard<S: PartitionStore>(
                 let scale = (series_len / segments) as f64;
                 let mut buf = ClusterBuf::new();
                 let mut paas: Vec<f64> = Vec::new();
+                let mut scratch: Vec<f32> = Vec::new();
                 let mut locals: Vec<Option<TopK>> = vec![None; queries.len()];
                 let mut touched: Vec<usize> = Vec::new();
+                // Sealed clusters may be served from the quantized record
+                // cache; clusters touched by updates never are.
+                let cache = match updates {
+                    None => quant.filter(|c| c.is_enabled()),
+                    Some(_) => None,
+                };
                 for (&node, interested) in per_cluster {
-                    buf.clear();
                     let bytes = reader.cluster_bytes(node).unwrap_or(0);
-                    // Sealed clusters may be served from the quantized
-                    // record cache; clusters touched by updates never are.
-                    let cache = match updates {
-                        None => quant.filter(|c| c.is_enabled()),
-                        Some(_) => None,
-                    };
-                    // Zero-copy fast path: a sealed cluster only one query
-                    // selected gains nothing from the shared ClusterBuf
-                    // (no decode amortisation, no prefilter — it needs
-                    // `interested.len() >= PREFILTER_MIN_QUERIES`), so
-                    // it is scanned straight off the (possibly
-                    // block-cached) partition image. Visit order, bounds
-                    // and every counter match the decoded path exactly.
-                    if interested.len() == 1 && updates.is_none() && cache.is_none() {
-                        if let Some(view) = reader.cluster_view(node) {
-                            let qi = interested[0];
-                            store.stats().on_read(bytes as u64);
-                            store.stats().on_records_read(view.len() as u64);
-                            decoded.fetch_add(view.len() as u64, Ordering::Relaxed);
-                            if locals[qi].is_none() {
-                                locals[qi] = Some(TopK::new(k));
-                                touched.push(qi);
-                            }
-                            scanned[qi].fetch_add(view.len() as u64, Ordering::Relaxed);
-                            let top = locals[qi].as_mut().expect("created above");
-                            view.for_each(|id, vals| {
-                                if let Some(d) = ed_early_abandon(
-                                    &queries[qi],
-                                    vals,
-                                    top.bound_with(&bounds[qi]),
-                                ) {
-                                    top.offer(id, d);
-                                }
-                            });
-                            top.publish_bound(&bounds[qi]);
-                            continue;
-                        }
-                    }
-                    let cached = cache.and_then(|c| c.get(pid, node));
+                    let view;
                     // `counted` is the logical candidate-stream length
                     // every interested query charges to records_scanned;
                     // on a quantized hit it stays the full sealed cluster
                     // count even though `buf` holds only the survivors.
-                    let counted = if let Some(qc) = &cached {
+                    let (cands, counted) = if updates.is_none() && cache.is_none() {
+                        // A sealed cluster is scored straight off the
+                        // (possibly block-cached) partition image.
+                        let Some(v) = reader.cluster_view(node) else {
+                            continue;
+                        };
+                        view = v;
+                        store.stats().on_read(bytes as u64);
+                        store.stats().on_records_read(view.len() as u64);
+                        (Candidates::Sealed(&view), view.len() as u64)
+                    } else if let Some(qc) = cache.and_then(|c| c.get(pid, node)) {
                         // Quantized hit: promote the union of survivors
                         // across all interested queries, each judged
                         // against its own bound at cluster entry (local
@@ -299,6 +292,7 @@ pub fn scan_shard<S: PartitionStore>(
                         // distances over real candidates, so any record
                         // skipped for every query is provably outside
                         // every final top-k).
+                        buf.clear();
                         if let Some(recs) = reader.cluster_records(node) {
                             let thresholds: Vec<f64> = interested
                                 .iter()
@@ -322,7 +316,7 @@ pub fn scan_shard<S: PartitionStore>(
                             store.stats().on_read(promoted * record_size);
                             store.stats().on_records_read(promoted);
                         }
-                        qc.len() as u64
+                        (Candidates::Decoded(&buf), qc.len() as u64)
                     } else {
                         // Physical decode; with updates active the sealed
                         // records are tombstone-filtered at decode time and
@@ -330,6 +324,7 @@ pub fn scan_shard<S: PartitionStore>(
                         // key is appended, so everything downstream — the
                         // shared prefilter, the block loop, the per-query
                         // scans — sees one merged candidate stream.
+                        buf.clear();
                         let physical = match updates {
                             None => reader.read_cluster_into(node, &mut buf),
                             Some(u) => {
@@ -349,9 +344,10 @@ pub fn scan_shard<S: PartitionStore>(
                                 c.insert(pid, node, qc);
                             }
                         }
-                        buf.len() as u64
+                        (Candidates::Decoded(&buf), buf.len() as u64)
                     };
-                    decoded.fetch_add(buf.len() as u64, Ordering::Relaxed);
+                    let n = cands.len();
+                    decoded.fetch_add(n as u64, Ordering::Relaxed);
                     // PAA signatures for the prefilter: computed once per
                     // cluster, shared by every query scanning it — but
                     // only when enough queries share the cluster to
@@ -359,8 +355,8 @@ pub fn scan_shard<S: PartitionStore>(
                     let prefilter = interested.len() >= PREFILTER_MIN_QUERIES;
                     paas.clear();
                     if prefilter {
-                        for i in 0..buf.len() {
-                            paa_into(buf.get(i).1, segments, &mut paas);
+                        for i in 0..n {
+                            cands.paa_into(i, segments, &mut paas, &mut scratch);
                         }
                     }
                     for &qi in interested {
@@ -374,10 +370,10 @@ pub fn scan_shard<S: PartitionStore>(
                     // cache-resident while every interested query scans
                     // it. Per query the record visit order is unchanged,
                     // so offers — and results — are identical to one
-                    // full pass (see `scan_decoded_range`).
+                    // full pass (see `scan_range`).
                     let mut lo = 0usize;
-                    while lo < buf.len() {
-                        let hi = (lo + SCAN_BLOCK_RECORDS).min(buf.len());
+                    while lo < n {
+                        let hi = (lo + SCAN_BLOCK_RECORDS).min(n);
                         for &qi in interested {
                             let top = locals[qi].as_mut().expect("created above");
                             if prefilter
@@ -387,7 +383,7 @@ pub fn scan_shard<S: PartitionStore>(
                                 scan_block_prefiltered(
                                     &queries[qi],
                                     &qpaas[qi],
-                                    &buf,
+                                    cands,
                                     &paas,
                                     segments,
                                     scale,
@@ -396,7 +392,7 @@ pub fn scan_shard<S: PartitionStore>(
                                     &bounds[qi],
                                 );
                             } else {
-                                scan_decoded_range(&queries[qi], &buf, lo..hi, top, &bounds[qi]);
+                                scan_range(&queries[qi], cands, lo..hi, top, &bounds[qi]);
                             }
                         }
                         lo = hi;
@@ -524,6 +520,147 @@ mod tests {
                 assert_eq!(scan.scanned[qi], batch.outcomes[qi].records_scanned);
             }
         }
+    }
+
+    /// Delegates to a store and logs each open as `(partition, resident
+    /// when opened)`.
+    struct Logged<'a, S> {
+        inner: &'a S,
+        opens: Mutex<Vec<(PartitionId, bool)>>,
+    }
+
+    impl<'a, S: PartitionStore> Logged<'a, S> {
+        fn new(inner: &'a S) -> Self {
+            Self {
+                inner,
+                opens: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn take(&self) -> Vec<(PartitionId, bool)> {
+            std::mem::take(&mut self.opens.lock().unwrap())
+        }
+    }
+
+    impl<S: PartitionStore> PartitionStore for Logged<'_, S> {
+        fn put(&self, id: PartitionId, bytes: bytes::Bytes) -> std::io::Result<()> {
+            self.inner.put(id, bytes)
+        }
+
+        fn open(&self, id: PartitionId) -> std::io::Result<climber_dfs::format::PartitionReader> {
+            let resident = self.inner.is_resident(id);
+            self.opens.lock().unwrap().push((id, resident));
+            self.inner.open(id)
+        }
+
+        fn ids(&self) -> Vec<PartitionId> {
+            self.inner.ids()
+        }
+
+        fn stats(&self) -> &climber_dfs::stats::IoStats {
+            self.inner.stats()
+        }
+
+        fn is_resident(&self, id: PartitionId) -> bool {
+            self.inner.is_resident(id)
+        }
+    }
+
+    fn texmex_queries(ds: &Dataset, range: std::ops::Range<u64>) -> Vec<Vec<f32>> {
+        range.map(|i| ds.get(i * 7 % 1_500).to_vec()).collect()
+    }
+
+    #[test]
+    fn batches_hit_what_the_previous_batch_left_resident() {
+        use climber_dfs::page::{charge_of, BlockCache, CacheConfig};
+        use climber_dfs::store::DiskStore;
+        use std::sync::Arc;
+        let dir =
+            std::env::temp_dir().join(format!("climber-query-resident-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let ds = Domain::TexMex.generate(1_500, 23);
+        let disk = DiskStore::new(&dir).unwrap();
+        let cfg = IndexConfig::default()
+            .with_paa_segments(8)
+            .with_pivots(48)
+            .with_prefix_len(6)
+            .with_capacity(40)
+            .with_seed(5)
+            .with_workers(2);
+        let (skeleton, _) = IndexBuilder::new(cfg).build(&ds, &disk);
+        // A block cache holding about a quarter of the index.
+        let index_bytes: usize = disk
+            .ids()
+            .into_iter()
+            .map(|pid| charge_of(disk.open(pid).unwrap().raw_bytes().len()))
+            .sum();
+        let cache = BlockCache::new(CacheConfig::default().with_capacity_bytes(index_bytes / 4));
+        disk.attach_cache(Arc::new(cache));
+        let store = Logged::new(&disk);
+        let engine = KnnEngine::new(&skeleton, &store);
+        let (k, factor) = (5, 4);
+
+        let warm_up = texmex_queries(&ds, 0..48);
+        engine.batch(&BatchRequest::adaptive(&warm_up, k, factor).with_threads(1));
+        let resident: BTreeSet<PartitionId> = disk
+            .ids()
+            .into_iter()
+            .filter(|&p| disk.is_resident(p))
+            .collect();
+        store.take();
+        let queries = texmex_queries(&ds, 48..96);
+        let batch = engine.batch(&BatchRequest::adaptive(&queries, k, factor).with_threads(1));
+        // The planned scan opens each planned partition once; any opens
+        // after it are the expansion fallback, which replays the
+        // sequential engine's plan-order loop and is not reordered.
+        let planned: BTreeSet<PartitionId> = batch
+            .outcomes
+            .iter()
+            .flat_map(|o| o.plan.reads.keys().copied())
+            .collect();
+        let opens = store.take();
+        let scan = &opens[..planned.len()];
+        assert!(scan.iter().all(|(p, _)| planned.contains(p)));
+
+        let reused = scan.iter().filter(|(p, _)| resident.contains(p)).count();
+        assert!(
+            reused > 0,
+            "the batches share no partition: the test proves nothing"
+        );
+        assert!(
+            scan.iter().any(|&(_, hit)| !hit),
+            "the batch never missed: the cache is not tight"
+        );
+        for &(pid, hit) in scan {
+            assert!(
+                hit || !resident.contains(&pid),
+                "partition {pid} was resident when the batch started, yet missed"
+            );
+        }
+        for (q, out) in queries.iter().zip(&batch.outcomes) {
+            assert_eq!(out, &engine.knn_adaptive(q, k, factor));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stores_without_residency_keep_ascending_partition_order() {
+        let (skeleton, mem, ds) = build(500);
+        let store = Logged::new(&mem);
+        let engine = KnnEngine::new(&skeleton, &store);
+        let queries: Vec<Vec<f32>> = (0..16u64).map(|i| ds.get(i * 29).to_vec()).collect();
+        let batch = engine.batch(&BatchRequest::adaptive(&queries, 5, 4).with_threads(1));
+        let planned: BTreeSet<PartitionId> = batch
+            .outcomes
+            .iter()
+            .flat_map(|o| o.plan.reads.keys().copied())
+            .collect();
+        let opens: Vec<PartitionId> = store.take().into_iter().map(|(p, _)| p).collect();
+        assert!(planned.len() > 1);
+        assert_eq!(
+            opens[..planned.len()],
+            planned.iter().copied().collect::<Vec<_>>()[..]
+        );
     }
 
     #[test]

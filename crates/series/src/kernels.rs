@@ -2,7 +2,10 @@
 //!
 //! This module holds the repo's only `unsafe` code: AVX2 and SSE paths for
 //! the hot inner loops (`sq_ed`, `ed_early_abandon`, f32 segment sums for
-//! PAA, and f64 squared distances for pivot space). The contract that makes
+//! PAA, and f64 squared distances for pivot space). `ed_early_abandon_le`
+//! runs the early-abandoning kernel over a stored record's little-endian
+//! value bytes, so scans score records in place instead of decoding them
+//! into an `f32` buffer first. The contract that makes
 //! them safe to dispatch freely is **bit-identity**: every tier reduces its
 //! lane accumulators in exactly the same pairwise order as the scalar
 //! reference, and no tier uses fused multiply-add (FMA changes rounding).
@@ -182,31 +185,40 @@ fn sq_ed_scalar(x: &[f32], y: &[f32]) -> f64 {
     acc
 }
 
-#[inline]
-fn ed_early_abandon_scalar(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
+/// The scalar early-abandoning kernel over `x.len()` values of `y`, read
+/// through `y_at` — one loop for `f32` slices and for little-endian record
+/// bytes, so the two can never drift apart.
+#[inline(always)]
+fn ed_early_abandon_scalar(x: &[f32], y_at: impl Fn(usize) -> f32, sq_bound: f64) -> Option<f64> {
     let mut lanes = [0.0f64; 8];
-    let mut xc = x.chunks_exact(8);
-    let mut yc = y.chunks_exact(8);
-    for (i, (cx, cy)) in (&mut xc).zip(&mut yc).enumerate() {
+    let chunks = x.len() / 8;
+    for (c, cx) in x.chunks_exact(8).enumerate() {
         for j in 0..8 {
-            let d = f64::from(cx[j]) - f64::from(cy[j]);
+            let d = f64::from(cx[j]) - f64::from(y_at(c * 8 + j));
             lanes[j] += d * d;
         }
         // Check after every second 8-chunk (16 readings). Combining the
         // lanes for the check does not disturb their running values.
-        if i % 2 == 1 && combine_lanes(&lanes) > sq_bound {
+        if c % 2 == 1 && combine_lanes(&lanes) > sq_bound {
             return None;
         }
     }
     let mut acc = combine_lanes(&lanes);
-    for (a, b) in xc.remainder().iter().zip(yc.remainder().iter()) {
-        let d = f64::from(*a) - f64::from(*b);
+    for (i, a) in x.iter().enumerate().skip(chunks * 8) {
+        let d = f64::from(*a) - f64::from(y_at(i));
         acc += d * d;
     }
     if acc > sq_bound {
         return None;
     }
     Some(acc)
+}
+
+/// The `i`-th little-endian `f32` of `bytes`.
+#[inline(always)]
+fn le_f32_at(bytes: &[u8], i: usize) -> f32 {
+    let b = &bytes[i * 4..i * 4 + 4];
+    f32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 #[inline]
@@ -318,15 +330,19 @@ mod x86 {
         acc
     }
 
+    /// # Safety
+    /// The host must support AVX2, and `y` must be readable for
+    /// `x.len()` f32 values. `y` may be unaligned: every load of it is an
+    /// unaligned one.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn ed_early_abandon_avx2(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
+    pub unsafe fn ed_early_abandon_avx2(x: &[f32], y: *const f32, sq_bound: f64) -> Option<f64> {
         let n = x.len();
         let chunks = n / 8;
         let mut acc_lo = _mm256_setzero_pd();
         let mut acc_hi = _mm256_setzero_pd();
         for c in 0..chunks {
             let vx = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-            let vy = _mm256_loadu_ps(y.as_ptr().add(c * 8));
+            let vy = _mm256_loadu_ps(y.add(c * 8));
             let dlo = _mm256_sub_pd(
                 _mm256_cvtps_pd(_mm256_castps256_ps128(vx)),
                 _mm256_cvtps_pd(_mm256_castps256_ps128(vy)),
@@ -344,7 +360,7 @@ mod x86 {
         }
         let mut acc = combine_avx2(acc_lo, acc_hi);
         for i in chunks * 8..n {
-            let d = f64::from(*x.get_unchecked(i)) - f64::from(*y.get_unchecked(i));
+            let d = f64::from(*x.get_unchecked(i)) - f64::from(y.add(i).read_unaligned());
             acc += d * d;
         }
         if acc > sq_bound {
@@ -421,8 +437,12 @@ mod x86 {
         acc
     }
 
+    /// # Safety
+    /// The host must support SSE4.1, and `y` must be readable for
+    /// `x.len()` f32 values. `y` may be unaligned: the pair loads and the
+    /// tail reads of it are unaligned ones.
     #[target_feature(enable = "sse4.1")]
-    pub unsafe fn ed_early_abandon_sse(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
+    pub unsafe fn ed_early_abandon_sse(x: &[f32], y: *const f32, sq_bound: f64) -> Option<f64> {
         let n = x.len();
         let chunks = n / 8;
         let mut la = _mm_setzero_pd();
@@ -431,7 +451,7 @@ mod x86 {
         let mut ld = _mm_setzero_pd();
         for c in 0..chunks {
             let px = x.as_ptr().add(c * 8);
-            let py = y.as_ptr().add(c * 8);
+            let py = y.add(c * 8);
             let d0 = _mm_sub_pd(load2_ps_pd(px), load2_ps_pd(py));
             let d1 = _mm_sub_pd(load2_ps_pd(px.add(2)), load2_ps_pd(py.add(2)));
             let d2 = _mm_sub_pd(load2_ps_pd(px.add(4)), load2_ps_pd(py.add(4)));
@@ -446,7 +466,7 @@ mod x86 {
         }
         let mut acc = combine_sse(la, lb, lc, ld);
         for i in chunks * 8..n {
-            let d = f64::from(*x.get_unchecked(i)) - f64::from(*y.get_unchecked(i));
+            let d = f64::from(*x.get_unchecked(i)) - f64::from(y.add(i).read_unaligned());
             acc += d * d;
         }
         if acc > sq_bound {
@@ -541,16 +561,50 @@ pub fn sq_ed_with(tier: Dispatch, x: &[f32], y: &[f32]) -> f64 {
 pub fn ed_early_abandon_with(tier: Dispatch, x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
     assert_eq!(x.len(), y.len(), "ED requires equal-length series");
     match tier {
-        Dispatch::Scalar => ed_early_abandon_scalar(x, y, sq_bound),
+        Dispatch::Scalar => ed_early_abandon_scalar(x, |i| y[i], sq_bound),
         #[cfg(target_arch = "x86_64")]
         Dispatch::Sse41 => {
             assert_supported(tier);
-            unsafe { x86::ed_early_abandon_sse(x, y, sq_bound) }
+            // SAFETY: the tier is supported (asserted just above), and `y`
+            // holds `x.len()` f32 values (asserted on entry).
+            unsafe { x86::ed_early_abandon_sse(x, y.as_ptr(), sq_bound) }
         }
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => {
             assert_supported(tier);
-            unsafe { x86::ed_early_abandon_avx2(x, y, sq_bound) }
+            // SAFETY: as for the SSE4.1 arm.
+            unsafe { x86::ed_early_abandon_avx2(x, y.as_ptr(), sq_bound) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unsupported(tier),
+    }
+}
+
+/// [`ed_early_abandon_le`] on an explicit tier.
+///
+/// # Panics
+/// If `y` is not exactly `4 * x.len()` bytes, or `tier` is unsupported on
+/// this host.
+#[inline]
+pub fn ed_early_abandon_le_with(tier: Dispatch, x: &[f32], y: &[u8], sq_bound: f64) -> Option<f64> {
+    assert_eq!(y.len(), 4 * x.len(), "ED requires equal-length series");
+    match tier {
+        Dispatch::Scalar => ed_early_abandon_scalar(x, |i| le_f32_at(y, i), sq_bound),
+        #[cfg(target_arch = "x86_64")]
+        Dispatch::Sse41 => {
+            assert_supported(tier);
+            // SAFETY: the tier is supported (asserted just above); `y`
+            // holds `4 * x.len()` bytes (asserted on entry), i.e. `x.len()`
+            // f32 values, which the kernel reads only through unaligned
+            // loads. x86-64 is little-endian, so the stored bytes are the
+            // values' native `f32` representation.
+            unsafe { x86::ed_early_abandon_sse(x, y.as_ptr().cast(), sq_bound) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Dispatch::Avx2 => {
+            assert_supported(tier);
+            // SAFETY: as for the SSE4.1 arm.
+            unsafe { x86::ed_early_abandon_avx2(x, y.as_ptr().cast(), sq_bound) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         _ => unsupported(tier),
@@ -647,6 +701,23 @@ pub fn ed_early_abandon(x: &[f32], y: &[f32], sq_bound: f64) -> Option<f64> {
         ed_early_abandon_with(Dispatch::Scalar, x, y, sq_bound)
     } else {
         ed_early_abandon_with(current(), x, y, sq_bound)
+    }
+}
+
+/// Early-abandoning squared Euclidean distance on the current tier, with
+/// `y` given as its little-endian `f32` bytes — a stored record's values,
+/// scored straight from the (possibly block-cached) partition image with
+/// no decode pass. Bit-identical to [`ed_early_abandon`] on the decoded
+/// values.
+///
+/// # Panics
+/// If `y` is not exactly `4 * x.len()` bytes.
+#[inline]
+pub fn ed_early_abandon_le(x: &[f32], y: &[u8], sq_bound: f64) -> Option<f64> {
+    if x.len() < SIMD_MIN_LEN {
+        ed_early_abandon_le_with(Dispatch::Scalar, x, y, sq_bound)
+    } else {
+        ed_early_abandon_le_with(current(), x, y, sq_bound)
     }
 }
 

@@ -95,12 +95,12 @@ impl TopK {
             self.heap.push(entry);
             return true;
         }
-        // Full: replace the worst entry when strictly better under the
-        // (dist, id) order.
-        let worst = *self.heap.peek().expect("heap is full, k > 0");
-        if entry < worst {
-            self.heap.pop();
-            self.heap.push(entry);
+        // Full: replace the worst entry in place when strictly better
+        // under the (dist, id) order — one sift-down when the `PeekMut`
+        // drops, instead of a pop plus a push.
+        let mut worst = self.heap.peek_mut().expect("heap is full, k > 0");
+        if entry < *worst {
+            *worst = entry;
             true
         } else {
             false

@@ -11,7 +11,8 @@
 #![recursion_limit = "1024"]
 
 use climber_series::kernels::{
-    self, ed_early_abandon_with, sq_dist_f64_with, sq_ed_with, sum_f32_with, Dispatch,
+    self, ed_early_abandon_le_with, ed_early_abandon_with, sq_dist_f64_with, sq_ed_with,
+    sum_f32_with, Dispatch,
 };
 use proptest::prelude::*;
 
@@ -214,6 +215,85 @@ proptest! {
             }
         }
     }
+}
+
+/// Packs `records` the way a partition stores them — `id u64 | len × f32`,
+/// all little-endian, at a stride of `8 + 4·len` — behind `lead` filler
+/// bytes, and returns the buffer with each record's value-byte range.
+fn pack_records(lead: usize, records: &[&[f32]]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+    let mut bytes = vec![0xA5u8; lead];
+    let mut ranges = Vec::new();
+    for (id, vals) in records.iter().enumerate() {
+        bytes.extend_from_slice(&(id as u64).to_le_bytes());
+        let start = bytes.len();
+        for v in *vals {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        ranges.push(start..bytes.len());
+    }
+    (bytes, ranges)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `ed_early_abandon_le` — the kernel that scores a stored record
+    /// straight from its little-endian bytes — equals `ed_early_abandon`
+    /// on the decoded values bit for bit, on every tier and through the
+    /// auto-dispatched entry points (which switch to scalar below 32
+    /// values). Records sit at the on-disk stride behind `lead` filler
+    /// bytes, so over the cases their values start at every byte offset
+    /// modulo a vector width; lengths cover 0..512 with every tail, and
+    /// the cutoffs include the partial sums at each 16-value chunk
+    /// boundary and their neighbouring bit patterns.
+    #[test]
+    fn ed_early_abandon_le_matches_decoded_values(
+        input in nasty_pair(),
+        lead in 0usize..32,
+        scale in 0f64..2.0,
+    ) {
+        let (xs, ys, _) = input;
+        let reversed: Vec<f32> = ys.iter().rev().copied().collect();
+        let records: [&[f32]; 3] = [&ys, &xs, &reversed];
+        let (bytes, ranges) = pack_records(lead, &records);
+        for (vals, range) in records.iter().zip(&ranges) {
+            let rec = &bytes[range.clone()];
+            let full = sq_ed_with(Dispatch::Scalar, &xs, vals);
+            let mut bounds = vec![0.0, full * scale, full, f64::INFINITY];
+            let mut c = 16;
+            while c <= xs.len() {
+                let partial = sq_ed_with(Dispatch::Scalar, &xs[..c], &vals[..c]);
+                bounds.push(partial);
+                bounds.push(f64::from_bits(partial.to_bits().saturating_sub(1)));
+                bounds.push(f64::from_bits(partial.to_bits() + 1));
+                c += 16;
+            }
+            for bound in bounds {
+                for tier in tiers() {
+                    let want = ed_early_abandon_with(tier, &xs, vals, bound);
+                    let got = ed_early_abandon_le_with(tier, &xs, rec, bound);
+                    prop_assert_eq!(
+                        got.map(f64::to_bits), want.map(f64::to_bits),
+                        "ed_early_abandon_le {} bound {bound:e} (len {}, lead {lead})",
+                        tier.name(), xs.len()
+                    );
+                }
+                prop_assert_eq!(
+                    kernels::ed_early_abandon_le(&xs, rec, bound).map(f64::to_bits),
+                    kernels::ed_early_abandon(&xs, vals, bound).map(f64::to_bits),
+                    "auto-dispatched ed_early_abandon_le bound {bound:e} (len {})", xs.len()
+                );
+            }
+        }
+    }
+}
+
+/// A record whose byte length is not four times the query's is refused,
+/// like a length mismatch between two `f32` slices.
+#[test]
+#[should_panic(expected = "equal-length")]
+fn ed_early_abandon_le_rejects_a_short_record() {
+    kernels::ed_early_abandon_le(&[1.0, 2.0], &[0u8; 7], f64::INFINITY);
 }
 
 /// The forced-dispatch hook pins the auto path to the requested tier and
