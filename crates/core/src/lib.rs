@@ -80,7 +80,6 @@ pub use shard::{ShardSetManifest, ShardStatus, ShardedClimber, SHARD_SET_FILE};
 use climber_dfs::format::{Decode, Encode, PartitionWriter, TrieNodeId};
 use climber_dfs::fsio::{self, ClimberFs, FsRef};
 use climber_dfs::manifest::{xxh64, FileEntry, PartitionEntry};
-use climber_dfs::page;
 use climber_dfs::quant::QuantCache;
 use climber_dfs::segment::{self, Journal};
 use climber_dfs::store::{partition_file_name, DiskStore, MemStore, PartitionId, PartitionStore};
@@ -305,20 +304,17 @@ impl Climber<DiskStore> {
 
     /// [`open_with`](Self::open_with) plus a paged block cache sized by
     /// `config`: every partition open first consults a sharded LRU of
-    /// decompressed partition images, the open's own validation reads
-    /// pre-warm it (the report's
-    /// [`warmed_bytes`](RecoveryReport::warmed_bytes)), and — when
-    /// [`CacheConfig::compress`] is set — maintenance rewrites land in
-    /// the compressed CLBP v2 format. Answers are **bit-identical** to a
-    /// cacheless open: the cache only changes where bytes come from,
-    /// never what they decode to.
+    /// partition images, and the open's own validation reads pre-warm it
+    /// (the report's [`warmed_bytes`](RecoveryReport::warmed_bytes)).
+    /// Answers are **bit-identical** to a cacheless open: the cache only
+    /// changes where bytes come from, never what they decode to.
     pub fn open_with_cache(
         dir: impl AsRef<Path>,
         policy: RecoveryPolicy,
         config: CacheConfig,
     ) -> Result<(Self, RecoveryReport), ClimberError> {
         let cache = Arc::new(BlockCache::new(config));
-        Self::open_with_cache_shared(dir, policy, config, cache)
+        Self::open_with_cache_shared(dir, policy, cache)
     }
 
     /// [`open_with_cache`](Self::open_with_cache) against a **shared**
@@ -329,21 +325,19 @@ impl Climber<DiskStore> {
     pub fn open_with_cache_shared(
         dir: impl AsRef<Path>,
         policy: RecoveryPolicy,
-        config: CacheConfig,
         cache: Arc<BlockCache>,
     ) -> Result<(Self, RecoveryReport), ClimberError> {
         Ok(Self::open_cached_impl(
             dir.as_ref(),
             fsio::std_fs(),
             policy,
-            config,
             cache,
         )?)
     }
 
     /// [`open_with_cache`](Self::open_with_cache) through an injectable
     /// filesystem — the fault-injection seam for the cached read and
-    /// compressed write paths, mirroring
+    /// write paths, mirroring
     /// [`open_rw_with_fs`](Self::open_rw_with_fs).
     pub fn open_with_cache_fs(
         dir: impl AsRef<Path>,
@@ -352,24 +346,17 @@ impl Climber<DiskStore> {
         config: CacheConfig,
     ) -> Result<(Self, RecoveryReport), ClimberError> {
         let cache = Arc::new(BlockCache::new(config));
-        Ok(Self::open_cached_impl(
-            dir.as_ref(),
-            fs,
-            policy,
-            config,
-            cache,
-        )?)
+        Ok(Self::open_cached_impl(dir.as_ref(), fs, policy, cache)?)
     }
 
     pub(crate) fn open_cached_impl(
         dir: &Path,
         fs: FsRef,
         policy: RecoveryPolicy,
-        config: CacheConfig,
         cache: Arc<BlockCache>,
     ) -> Result<(Self, RecoveryReport), OpenError> {
         let (c, quarantined, warmed_bytes) =
-            Self::open_impl_cached(dir, true, fs, policy, Some(cache), config.compress)?;
+            Self::open_impl_cached(dir, true, fs, policy, Some(cache))?;
         Ok((
             c,
             RecoveryReport {
@@ -378,15 +365,6 @@ impl Climber<DiskStore> {
                 warmed_bytes,
             },
         ))
-    }
-
-    /// Turns compressed (CLBP v2) partition writes on or off for this
-    /// disk-backed index: subsequent [`save`](Self::save) copies, flushes
-    /// and compactions land compressed partitions; reads auto-detect the
-    /// format per file, so mixed directories stay valid and answers stay
-    /// bit-identical.
-    pub fn set_compress_on_seal(&self, on: bool) {
-        self.store.set_compress_puts(on);
     }
 
     fn open_impl(dir: &Path, writable: bool) -> Result<Self, OpenError> {
@@ -399,7 +377,7 @@ impl Climber<DiskStore> {
         fs: FsRef,
         policy: RecoveryPolicy,
     ) -> Result<(Self, Vec<PartitionId>), OpenError> {
-        let (c, quarantined, _) = Self::open_impl_cached(dir, writable, fs, policy, None, false)?;
+        let (c, quarantined, _) = Self::open_impl_cached(dir, writable, fs, policy, None)?;
         Ok((c, quarantined))
     }
 
@@ -409,7 +387,6 @@ impl Climber<DiskStore> {
         fs: FsRef,
         policy: RecoveryPolicy,
         cache: Option<Arc<BlockCache>>,
-        compress: bool,
     ) -> Result<(Self, Vec<PartitionId>, u64), OpenError> {
         let quarantine = policy == RecoveryPolicy::Quarantine;
         let (store, manifest, warmed_bytes) = DiskStore::open_validated_cached(
@@ -419,9 +396,6 @@ impl Climber<DiskStore> {
             quarantine,
             cache,
         )?;
-        if compress {
-            store.set_compress_puts(true);
-        }
         let skel_path = dir.join(SKELETON_FILE);
         let skel_staged = dir.join(format!("{SKELETON_FILE}.new"));
         let entry_matches = |b: &[u8]| {
@@ -749,32 +723,20 @@ impl<S: PartitionStore> Climber<S> {
                     }
                 }
                 let reader = self.store.open(pid)?;
-                // The manifest must describe the *persisted* bytes — for a
-                // compressing store those differ from the decoded image the
-                // reader holds. A copy into a fresh directory from a
-                // compressing store also compresses, so the sealed
-                // directory matches the store's own files.
-                let stored = self.store.stored_bytes(pid)?;
-                let payload = if !in_place_durable
-                    && self.store.compresses_puts()
-                    && !page::is_compressed(&stored)
-                {
-                    page::compress_partition(&stored)?
-                } else {
-                    stored
-                };
+                // The reader's image is the persisted file, byte for byte.
+                let payload = reader.raw_bytes();
                 if !in_place_durable {
                     fsio::write_file_atomic_with(
                         &**fs_ref,
                         &dir.join(format!("{}.new", partition_file_name(pid))),
-                        &payload,
+                        payload,
                     )?;
                 }
                 Ok((
                     PartitionEntry {
                         id: pid,
                         bytes: payload.len() as u64,
-                        checksum: xxh64(&payload, 0),
+                        checksum: xxh64(payload, 0),
                         records: reader.record_count(),
                     },
                     Some(reader.series_len() as u32),

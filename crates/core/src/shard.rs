@@ -487,9 +487,8 @@ impl ShardedClimber<DiskStore> {
     /// serves the whole set, entries namespaced per shard store so shards
     /// never serve each other's partitions. Validation reads pre-warm the
     /// cache (the merged report's
-    /// [`warmed_bytes`](RecoveryReport::warmed_bytes)); with
-    /// [`CacheConfig::compress`] set, every shard's maintenance rewrites
-    /// land compressed. Results stay bit-identical to a cacheless open.
+    /// [`warmed_bytes`](RecoveryReport::warmed_bytes)). Results stay
+    /// bit-identical to a cacheless open.
     ///
     /// Under [`RecoveryPolicy::Strict`] any shard failure aborts the
     /// open; under [`RecoveryPolicy::Quarantine`] it degrades exactly
@@ -510,7 +509,6 @@ impl ShardedClimber<DiskStore> {
                 &sub,
                 climber_dfs::fsio::std_fs(),
                 policy,
-                config,
                 Arc::clone(&cache),
             );
             match opened {

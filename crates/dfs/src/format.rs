@@ -415,7 +415,13 @@ impl PartitionReader {
         if series_len == 0 {
             return Err("partition with zero series length".into());
         }
-        let dir_end = HEADER_FIXED + n_clusters * DIR_ENTRY;
+        // A crafted header can name sizes whose products overflow; that
+        // is a corrupt partition, never a wrapped length.
+        let overflow = || String::from("partition header sizes overflow usize");
+        let dir_end = n_clusters
+            .checked_mul(DIR_ENTRY)
+            .and_then(|dir| dir.checked_add(HEADER_FIXED))
+            .ok_or_else(overflow)?;
         if bytes.len() < dir_end {
             return Err("partition truncated inside directory".into());
         }
@@ -431,11 +437,18 @@ impl PartitionReader {
                     "directory entry {i}: start {start} != running total {total}"
                 ));
             }
-            total += count as u64;
+            total = total.checked_add(u64::from(count)).ok_or_else(overflow)?;
             directory.push((node, start, count));
         }
-        let record_size = 8 + series_len * 4;
-        let want = dir_end + (total as usize) * record_size;
+        let record_size = series_len
+            .checked_mul(4)
+            .and_then(|values| values.checked_add(8))
+            .ok_or_else(overflow)?;
+        let want = usize::try_from(total)
+            .ok()
+            .and_then(|total| total.checked_mul(record_size))
+            .and_then(|records| records.checked_add(dir_end))
+            .ok_or_else(overflow)?;
         if bytes.len() != want {
             return Err(format!(
                 "partition length {} != expected {want}",

@@ -29,8 +29,10 @@
 //!   of partitions rather than scanning the dataset);
 //! * [`page`] — the paged storage engine: a sharded byte-budgeted LRU
 //!   [`BlockCache`] over whole partition images, zero-copy
-//!   [`ClusterView`]s, the compressed CLBP v2 partition encoding, and the
-//!   [`CacheLedger`] unifying block and quantized byte budgets.
+//!   [`ClusterView`]s, and the [`CacheLedger`] unifying block and
+//!   quantized byte budgets. Cached images are the partition files'
+//!   bytes: [`format`](mod@format)'s v1 layout is the only partition
+//!   format.
 
 pub mod cluster;
 pub mod format;

@@ -185,6 +185,15 @@ pub enum OpenError {
         /// Checksum of the bytes on disk.
         found: u64,
     },
+    /// A partition file matches its manifest size and checksum but its
+    /// header or directory does not parse (for example a partition format
+    /// version this build does not read).
+    CorruptPartition {
+        /// The unreadable partition.
+        id: PartitionId,
+        /// Why its header failed to parse.
+        reason: String,
+    },
     /// The skeleton file failed to decode.
     CorruptSkeleton(String),
     /// The manifest and the skeleton disagree about the index shape
@@ -251,6 +260,7 @@ impl fmt::Display for OpenError {
                 f,
                 "{what} checksum {found:#018x} != manifest {expected:#018x}"
             ),
+            Self::CorruptPartition { id, reason } => write!(f, "corrupt partition {id}: {reason}"),
             Self::CorruptSkeleton(m) => write!(f, "corrupt skeleton: {m}"),
             Self::StoreMismatch(m) => write!(f, "manifest/skeleton mismatch: {m}"),
             Self::MissingJournal(p) => write!(f, "update journal missing at {}", p.display()),

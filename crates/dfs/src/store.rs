@@ -21,7 +21,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// File name of partition `id` inside an index directory.
@@ -44,6 +43,32 @@ fn staged_path_of(dir: &Path, id: PartitionId) -> PathBuf {
 
 fn quarantine_path_of(dir: &Path, id: PartitionId) -> PathBuf {
     dir.join(QUARANTINE_DIR).join(partition_file_name(id))
+}
+
+/// Checks partition bytes against their manifest entry: size, content
+/// checksum, then a parse of the header and directory (no record is
+/// decoded), and returns a reader over them. The parse rejects a file
+/// whose checksum matches but whose layout this build cannot read, such
+/// as an unknown format version; accepted, it would fail every later
+/// open, which searches treat as an empty partition.
+fn check_image(e: &PartitionEntry, bytes: Vec<u8>) -> Result<PartitionReader, OpenError> {
+    if bytes.len() as u64 != e.bytes {
+        return Err(OpenError::PartitionSizeMismatch {
+            id: e.id,
+            expected: e.bytes,
+            found: bytes.len() as u64,
+        });
+    }
+    let found = xxh64(&bytes, 0);
+    if found != e.checksum {
+        return Err(OpenError::ChecksumMismatch {
+            what: format!("partition {}", e.id),
+            expected: e.checksum,
+            found,
+        });
+    }
+    PartitionReader::open(Bytes::from(bytes))
+        .map_err(|reason| OpenError::CorruptPartition { id: e.id, reason })
 }
 
 /// Identifier of a physical partition (the paper's `β` ids).
@@ -107,23 +132,6 @@ pub trait PartitionStore: Send + Sync {
     /// stores without quarantine support.
     fn quarantined(&self) -> Vec<PartitionId> {
         Vec::new()
-    }
-
-    /// The **exact persisted bytes** of a partition — what a seal must
-    /// checksum and copy. For stores holding partitions verbatim this is
-    /// the open image; stores with a compressed on-disk representation
-    /// override it to return the stored (compressed) bytes, which the
-    /// decode path never sees. Performs no I/O accounting: sealing
-    /// attributes its reads to the open that accompanies it.
-    fn stored_bytes(&self, id: PartitionId) -> io::Result<Bytes> {
-        Ok(self.open(id)?.raw_bytes_owned())
-    }
-
-    /// True when [`put`](Self::put) lands partitions in the compressed
-    /// (CLBP v2) on-disk format; a seal copying into a fresh directory
-    /// then compresses its payloads to match the store's own files.
-    fn compresses_puts(&self) -> bool {
-        false
     }
 
     /// The block cache serving this store's opens, when one is attached;
@@ -285,12 +293,6 @@ pub struct DiskStore {
     /// Block-cache attachment: the shared cache plus this store's token
     /// (the namespace its partition ids live under in the cache).
     cache: RwLock<Option<StoreCache>>,
-    /// When set, [`put`](PartitionStore::put) transcodes partitions into
-    /// the compressed CLBP v2 format before writing. Set explicitly by
-    /// `CacheConfig::compress` or automatically when a validated open
-    /// finds compressed files, so rewrites never silently decompress an
-    /// index.
-    compress_puts: AtomicBool,
 }
 
 /// A [`DiskStore`]'s handle into a shared [`BlockCache`].
@@ -328,7 +330,6 @@ impl DiskStore {
             staged: RwLock::new(BTreeSet::new()),
             quarantined: RwLock::new(BTreeSet::new()),
             cache: RwLock::new(None),
-            compress_puts: AtomicBool::new(false),
         })
     }
 
@@ -352,19 +353,10 @@ impl DiskStore {
         self.cache.read().clone()
     }
 
-    /// Turns compressed (CLBP v2) partition writes on or off.
-    pub fn set_compress_puts(&self, on: bool) {
-        self.compress_puts.store(on, Ordering::Relaxed);
-    }
-
-    /// True when puts are written in the compressed format.
-    pub fn compresses_puts(&self) -> bool {
-        self.compress_puts.load(Ordering::Relaxed)
-    }
-
     /// Opens a persisted index directory **read-only**, validating every
-    /// partition file against the manifest: existence, byte range, and
-    /// content checksum. Returns the store plus the validated manifest.
+    /// partition file against the manifest: existence, byte range,
+    /// content checksum, and a header parse. Returns the store plus the
+    /// validated manifest.
     ///
     /// This is the serve-side cold-start path: any corruption or
     /// incompleteness surfaces here as a typed [`OpenError`] instead of a
@@ -406,10 +398,10 @@ impl DiskStore {
 
     /// [`open_validated_with`](Self::open_validated_with) plus a shared
     /// [`BlockCache`]: each partition's cold-open validation read — which
-    /// the cacheless path checksums and discards — is decompressed and
-    /// fed into the cache ([`BlockCache::try_warm`]: warming never evicts
-    /// what another index already holds). Returns the store, the
-    /// manifest, and the warmed byte count for the recovery report.
+    /// the cacheless path checksums and discards — is fed into the cache
+    /// ([`BlockCache::try_warm`]: warming never evicts what another index
+    /// already holds). Returns the store, the manifest, and the warmed
+    /// byte count for the recovery report.
     pub fn open_validated_cached(
         dir: PathBuf,
         read_only: bool,
@@ -420,15 +412,16 @@ impl DiskStore {
         Self::open_validated(dir, read_only, fs, quarantine, cache)
     }
 
-    /// Validates one manifest entry's main file through `fs`, returning
-    /// the validated bytes so cold-open callers can reuse (rather than
-    /// discard) the read — see the cache-warming in
+    /// Validates one manifest entry's main file through `fs` (see
+    /// [`check_image`]), returning a reader over the validated bytes so
+    /// cold-open callers can reuse (rather than discard) the read — see
+    /// the cache-warming in
     /// [`open_validated_cached`](Self::open_validated_cached).
     fn validate_entry(
         fs: &dyn ClimberFs,
         path: &Path,
         e: &PartitionEntry,
-    ) -> Result<Vec<u8>, OpenError> {
+    ) -> Result<PartitionReader, OpenError> {
         let bytes = match fs.read(path) {
             Ok(b) => b,
             Err(err) if err.kind() == io::ErrorKind::NotFound => {
@@ -439,22 +432,7 @@ impl DiskStore {
             }
             Err(err) => return Err(OpenError::Io(err)),
         };
-        if bytes.len() as u64 != e.bytes {
-            return Err(OpenError::PartitionSizeMismatch {
-                id: e.id,
-                expected: e.bytes,
-                found: bytes.len() as u64,
-            });
-        }
-        let found = xxh64(&bytes, 0);
-        if found != e.checksum {
-            return Err(OpenError::ChecksumMismatch {
-                what: format!("partition {}", e.id),
-                expected: e.checksum,
-                found,
-            });
-        }
-        Ok(bytes)
+        check_image(e, bytes)
     }
 
     fn open_validated(
@@ -468,29 +446,23 @@ impl DiskStore {
         let mut quarantined = BTreeSet::new();
         let warming = cache.map(|c| (c, page::next_store_token()));
         let mut warmed_bytes = 0u64;
-        let mut saw_compressed = false;
         for e in &manifest.partitions {
             let path = dir.join(partition_file_name(e.id));
             let staged = staged_path_of(&dir, e.id);
             match Self::validate_entry(&*fs, &path, e) {
-                Ok(bytes) => {
+                Ok(reader) => {
                     // Any `.new` sibling is pre-commit garbage from an
                     // interrupted fold — the committed file matches the
                     // committed manifest.
                     fs.remove_file(&staged).ok();
-                    if page::is_compressed(&bytes) {
-                        saw_compressed = true;
-                    }
-                    // Reuse the validation read: decompress once here and
-                    // warm the cache so first-query latency after a cold
-                    // open skips the filesystem entirely.
+                    // Reuse the validation read: warm the cache so
+                    // first-query latency after a cold open skips the
+                    // filesystem entirely.
                     if let Some((cache, token)) = &warming {
-                        if let Ok((image, stored_len)) = page::maybe_decompress(Bytes::from(bytes))
-                        {
-                            let raw_len = image.len() as u64;
-                            if cache.try_warm(*token, e.id, image, stored_len) {
-                                warmed_bytes += raw_len;
-                            }
+                        let image = reader.raw_bytes_owned();
+                        let len = image.len() as u64;
+                        if cache.try_warm(*token, e.id, image) {
+                            warmed_bytes += len;
                         }
                     }
                 }
@@ -500,15 +472,12 @@ impl DiskStore {
                     // under `.new` while the main file is still old (or
                     // gone). If the sibling matches the committed entry,
                     // finish the interrupted rename.
-                    let rolled = match fs.read(&staged) {
-                        Ok(b) if b.len() as u64 == e.bytes && xxh64(&b, 0) == e.checksum => {
-                            fs.rename(&staged, &path).is_ok() && {
-                                fs.fsync_dir(&dir).ok();
-                                true
-                            }
-                        }
-                        _ => false,
-                    };
+                    let rolled = fs.read(&staged).is_ok_and(|b| check_image(e, b).is_ok())
+                        && fs.rename(&staged, &path).is_ok()
+                        && {
+                            fs.fsync_dir(&dir).ok();
+                            true
+                        };
                     if rolled {
                         continue;
                     }
@@ -545,7 +514,6 @@ impl DiskStore {
                 staged: RwLock::new(BTreeSet::new()),
                 quarantined: RwLock::new(quarantined),
                 cache: RwLock::new(warming.map(|(cache, token)| StoreCache { cache, token })),
-                compress_puts: AtomicBool::new(saw_compressed),
             },
             manifest,
             warmed_bytes,
@@ -597,19 +565,19 @@ impl DiskStore {
             return Ok(true);
         }
         let main = self.path_of(e.id);
-        let matches = |b: &[u8]| b.len() as u64 == e.bytes && xxh64(b, 0) == e.checksum;
+        let matches = |b: Vec<u8>| check_image(e, b).is_ok();
         let readmit = |id: PartitionId| {
             self.quarantined.write().remove(&id);
             if let Some(sc) = self.cache_handle() {
                 sc.cache.invalidate(sc.token, id);
             }
         };
-        if self.fs.read(&main).is_ok_and(|b| matches(&b)) {
+        if self.fs.read(&main).is_ok_and(matches) {
             readmit(e.id);
             return Ok(true);
         }
         let qpath = quarantine_path_of(&self.dir, e.id);
-        if self.fs.read(&qpath).is_ok_and(|b| matches(&b)) {
+        if self.fs.read(&qpath).is_ok_and(matches) {
             self.fs.rename(&qpath, &main)?;
             self.fs.fsync_dir(&self.dir)?;
             readmit(e.id);
@@ -626,10 +594,6 @@ impl DiskStore {
 }
 
 impl PartitionStore for DiskStore {
-    fn compresses_puts(&self) -> bool {
-        DiskStore::compresses_puts(self)
-    }
-
     fn block_cache(&self) -> Option<Arc<BlockCache>> {
         DiskStore::block_cache(self)
     }
@@ -649,13 +613,6 @@ impl PartitionStore for DiskStore {
                 "store was opened read-only from a manifest",
             ));
         }
-        // Compressed stores transcode on the way down, so decode paths —
-        // which always see the v1 image — never meet v2 bytes.
-        let bytes = if self.compresses_puts() && !page::is_compressed(&bytes) {
-            page::compress_partition(&bytes)?
-        } else {
-            bytes
-        };
         self.stats.on_partition_write(bytes.len() as u64);
         let result = if self.manifest_ids.is_some() {
             // Opened from a sealed manifest (read-write mode): the file
@@ -708,34 +665,15 @@ impl PartitionStore for DiskStore {
         } else {
             self.path_of(id)
         };
-        let raw = Bytes::from(self.fs.read(&path)?);
-        // Compressed partitions decompress exactly once here; the cache
-        // then pins the decoded image so later touches skip both the
-        // filesystem and the decode.
-        let (image, stored_len) = page::maybe_decompress(raw)?;
+        let image = Bytes::from(self.fs.read(&path)?);
         self.stats.on_partition_open();
         let reader = PartitionReader::open(image.clone())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         self.stats.on_read(reader.header_bytes() as u64);
         if let Some(sc) = &cached {
-            sc.cache.insert(sc.token, id, image, stored_len);
+            sc.cache.insert(sc.token, id, image);
         }
         Ok(reader)
-    }
-
-    fn stored_bytes(&self, id: PartitionId) -> io::Result<Bytes> {
-        if self.quarantined.read().contains(&id) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("partition {id} is quarantined"),
-            ));
-        }
-        let path = if self.staged.read().contains(&id) {
-            staged_path_of(&self.dir, id)
-        } else {
-            self.path_of(id)
-        };
-        Ok(Bytes::from(self.fs.read(&path)?))
     }
 
     fn persist_dir(&self) -> Option<&std::path::Path> {
@@ -992,33 +930,6 @@ mod tests {
         mem.put(0, encode_partition(1, 1, 2)).unwrap();
         mem.open(0).unwrap();
         assert!(!mem.is_resident(0), "stores without a cache report nothing");
-    }
-
-    #[test]
-    fn compressed_puts_roundtrip_and_report_stored_bytes() {
-        let dir = std::env::temp_dir().join(format!("climber-dfs-comp-{}", std::process::id()));
-        fs::remove_dir_all(&dir).ok();
-        let store = DiskStore::new(&dir).unwrap();
-        store.set_compress_puts(true);
-        let v1 = encode_partition(5, 2, 50);
-        store.put(1, v1.clone()).unwrap();
-        // On disk: compressed. Through open(): the exact v1 image.
-        let stored = store.stored_bytes(1).unwrap();
-        assert!(crate::page::is_compressed(&stored));
-        let reader = store.open(1).unwrap();
-        assert_eq!(reader.raw_bytes(), &v1[..]);
-        // read_cluster goes through the same transparent decompression.
-        let mut out = Vec::new();
-        assert_eq!(store.read_cluster(1, 2, &mut out).unwrap(), 50);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stored_bytes_default_matches_open_image() {
-        let store = MemStore::new();
-        let v1 = encode_partition(1, 4, 3);
-        store.put(0, v1.clone()).unwrap();
-        assert_eq!(&store.stored_bytes(0).unwrap()[..], &v1[..]);
     }
 
     #[test]

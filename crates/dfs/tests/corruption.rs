@@ -5,14 +5,18 @@
 //! five scenarios are asserted end-to-end through `Climber::open` in the
 //! workspace-level `tests/persistence.rs`.
 
-use climber_dfs::format::PartitionWriter;
+use bytes::Bytes;
+use climber_dfs::format::{PartitionReader, PartitionWriter};
+use climber_dfs::fsio::std_fs;
 use climber_dfs::manifest::{
     write_file_atomic, xxh64, FileEntry, Manifest, OpenError, PartitionEntry, FORMAT_VERSION,
     MANIFEST_FILE,
 };
-use climber_dfs::store::{partition_file_name, DiskStore, PartitionStore};
+use climber_dfs::page::{BlockCache, CacheConfig};
+use climber_dfs::store::{partition_file_name, DiskStore, PartitionStore, QUARANTINE_DIR};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Writes a small but realistic index directory: two partition files, an
 /// opaque skeleton blob, and a sealed manifest. Returns the directory.
@@ -261,5 +265,120 @@ fn missing_manifest_is_typed() {
     let dir = persisted_dir("nomanifest");
     fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
     assert!(matches!(open(&dir), Err(OpenError::MissingManifest(_))));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A partition header naming `series_len`-point records, followed by one
+/// directory entry per count (starts are the running totals, as in a
+/// well-formed directory) and nothing else.
+fn crafted_partition(series_len: u32, counts: &[u32]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(b"CLBP");
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&series_len.to_le_bytes());
+    out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+    let mut start = 0u64;
+    for (node, &count) in counts.iter().enumerate() {
+        out.extend_from_slice(&(node as u64).to_le_bytes());
+        out.extend_from_slice(&start.to_le_bytes());
+        out.extend_from_slice(&count.to_le_bytes());
+        start += u64::from(count);
+    }
+    out
+}
+
+/// Headers whose sizes overflow `usize` arithmetic are typed errors, not
+/// panics, and never a wrapped length that lets the record reads run
+/// past the image.
+#[test]
+fn overflowing_partition_headers_are_rejected() {
+    let cases = [
+        // The 44-byte input: every record is 16 GiB and there are 2^32 - 1.
+        crafted_partition(u32::MAX, &[u32::MAX]),
+        // Record size 2^34 times 2^30 records wraps to exactly zero, so a
+        // wrapping length check would accept these 44 bytes.
+        crafted_partition(u32::MAX - 1, &[1 << 30]),
+        crafted_partition(u32::MAX, &[1]),
+        crafted_partition(1, &[u32::MAX]),
+        crafted_partition(u32::MAX, &[u32::MAX, u32::MAX]),
+    ];
+    for (i, bytes) in cases.iter().enumerate() {
+        let got = PartitionReader::open(Bytes::from(bytes.clone()));
+        assert!(
+            got.is_err(),
+            "case {i} ({} bytes) was accepted",
+            bytes.len()
+        );
+    }
+    assert_eq!(cases[0].len(), 44);
+    // A directory that claims more entries than the input holds.
+    let mut truncated = crafted_partition(1, &[]);
+    truncated[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(PartitionReader::open(Bytes::from(truncated)).is_err());
+}
+
+/// Replaces partition `pid` of a persisted directory with `bytes` and
+/// re-seals the manifest entry so its size and checksum match them: only
+/// the header parse can tell the file is unreadable.
+fn reseal_partition(dir: &Path, pid: u32, bytes: &[u8]) {
+    fs::write(dir.join(partition_file_name(pid)), bytes).unwrap();
+    let mut manifest = Manifest::load(dir).unwrap();
+    let entry = manifest
+        .partitions
+        .iter_mut()
+        .find(|e| e.id == pid)
+        .unwrap();
+    entry.bytes = bytes.len() as u64;
+    entry.checksum = xxh64(bytes, 0);
+    manifest.write_atomic(dir).unwrap();
+}
+
+/// A partition in a format this build does not read (here version 2)
+/// whose manifest size and checksum match is rejected at open, not
+/// accepted and then skipped by every search as if it were empty.
+#[test]
+fn unreadable_partition_version_is_rejected_or_quarantined() {
+    let dir = persisted_dir("v2");
+    let path = dir.join(partition_file_name(1));
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    reseal_partition(&dir, 1, &bytes);
+
+    // Strict: a typed error naming the partition.
+    for read_only in [true, false] {
+        match DiskStore::open_validated_with(dir.clone(), read_only, std_fs(), false) {
+            Err(OpenError::CorruptPartition { id, reason }) => {
+                assert_eq!(id, 1);
+                assert!(reason.contains("version 2"), "reason: {reason}");
+            }
+            other => panic!("expected CorruptPartition, got {other:?}"),
+        }
+    }
+    assert!(path.exists(), "a strict open moves nothing");
+
+    // Quarantine: moved aside and listed; only images that parse warm
+    // the cache.
+    let cache = Arc::new(BlockCache::new(CacheConfig::default()));
+    let (store, manifest, warmed) = DiskStore::open_validated_cached(
+        dir.clone(),
+        true,
+        std_fs(),
+        true,
+        Some(Arc::clone(&cache)),
+    )
+    .unwrap();
+    assert_eq!(store.quarantined(), vec![1]);
+    assert!(!path.exists());
+    assert!(dir
+        .join(QUARANTINE_DIR)
+        .join(partition_file_name(1))
+        .exists());
+    assert_eq!(cache.len(), 1, "only partition 0 warms the cache");
+    assert_eq!(warmed, manifest.partition(0).unwrap().bytes);
+    assert!(store.open(1).is_err());
+    assert_eq!(store.open(0).unwrap().record_count(), 7);
+    // Its checksum still matches, but re-admission parses it too.
+    assert!(!store.try_readmit(manifest.partition(1).unwrap()).unwrap());
     fs::remove_dir_all(&dir).ok();
 }

@@ -5,10 +5,11 @@
 //! never a silently wrong index.
 
 use climber_core::dfs::manifest::xxh64;
-use climber_core::dfs::store::PartitionStore;
+use climber_core::dfs::store::{partition_file_name, PartitionStore};
 use climber_core::series::gen::Domain;
 use climber_core::{
-    Climber, ClimberConfig, ClimberError, OpenError, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
+    CacheConfig, Climber, ClimberConfig, ClimberError, Manifest, OpenError, RecoveryPolicy,
+    SearchRequest, FORMAT_VERSION, MANIFEST_FILE, SKELETON_FILE,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -231,6 +232,40 @@ fn missing_partition_file_is_typed() {
         Climber::open(&dir),
         Err(ClimberError::Open(OpenError::MissingPartition { .. }))
     ));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A partition file in a layout this build does not read (version 2)
+/// under a manifest entry whose size and checksum match it: a strict
+/// open refuses with an error naming the partition, and a quarantining
+/// open sets it aside, reports it, and keeps it out through a scrub.
+#[test]
+fn unreadable_partition_version_is_refused_or_quarantined() {
+    let dir = built_dir("v2-partition");
+    let mut manifest = Manifest::load(&dir).unwrap();
+    let victim = manifest.partitions[0].id;
+    let path = dir.join(partition_file_name(victim));
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    manifest.partitions[0].checksum = xxh64(&bytes, 0);
+    manifest.write_atomic(&dir).unwrap();
+
+    match Climber::open_with(&dir, RecoveryPolicy::Strict).err() {
+        Some(ClimberError::Open(OpenError::CorruptPartition { id, .. })) => {
+            assert_eq!(id, victim);
+        }
+        other => panic!("expected CorruptPartition, got {other:?}"),
+    }
+
+    let (c, report) =
+        Climber::open_with_cache(&dir, RecoveryPolicy::Quarantine, CacheConfig::default()).unwrap();
+    assert_eq!(report.quarantined_partitions, vec![victim]);
+    let query = Domain::RandomWalk.generate(1, 3).get(0).to_vec();
+    assert!(c.search(&SearchRequest::new(query, 5)).results.len() <= 5);
+    // The quarantined copy still matches its checksum; a scrub must not
+    // re-admit it.
+    assert_eq!(c.scrub().unwrap().still_quarantined, vec![victim]);
     fs::remove_dir_all(&dir).ok();
 }
 
